@@ -55,8 +55,6 @@ from repro.core import (
     UBG,
     BitsetCoverage,
     CoverageState,
-    FlatCoverage,
-    evaluate_benefit,
     DkSReduction,
     GreedyC,
     IMCResult,
@@ -166,8 +164,6 @@ __all__ = [
     # core
     "BitsetCoverage",
     "CoverageState",
-    "FlatCoverage",
-    "evaluate_benefit",
     "SeedSelection",
     "greedy_maxr",
     "lazy_greedy_nu",

@@ -30,8 +30,7 @@ from repro.core.framework import EstimateResult, IMCResult, estimate_benefit, so
 from repro.core.greedy import greedy_maxr, lazy_greedy_nu
 from repro.core.maf import MAF
 from repro.core.bitset_engine import BitsetCoverage
-from repro.core.flat_engine import FlatCoverage
-from repro.core.objective import CoverageState, evaluate_benefit
+from repro.core.objective import CoverageState
 from repro.core.ratios import (
     bt_ratio,
     inapproximability_bound,
@@ -53,8 +52,6 @@ from repro.core.ubg import UBG, GreedyC
 __all__ = [
     "CoverageState",
     "BitsetCoverage",
-    "FlatCoverage",
-    "evaluate_benefit",
     "SeedSelection",
     "greedy_maxr",
     "lazy_greedy_nu",

@@ -5,14 +5,15 @@ objects — flexible, but each greedy round churns many small sets. This
 engine packs each sample's covered-member mask into a Python ``int``
 (arbitrary-precision bitset) and each node's coverage into per-sample
 masks, so a marginal evaluation is a handful of integer ANDs/ORs and
-``bit_count`` calls. Selected automatically by ``UBG(engine="bitset")``
-style call sites; behaviour is identical to the reference engine (the
-test suite cross-checks them on random pools).
+``bit_count`` calls. It is the one coverage engine the solvers use
+(UBG, GreedyC, the greedy primitives and the budgeted variant);
+behaviour is identical to the reference engine (the test suite
+cross-checks them on random pools).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import SolverError
 from repro.obs import metrics

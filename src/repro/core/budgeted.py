@@ -14,9 +14,9 @@ carries the data-dependent sandwich factor ``ĉ(S_ν)/ν(S_ν)``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional
 
-from repro.core.objective import CoverageState
+from repro.core.bitset_engine import BitsetCoverage
 from repro.core.solution import SeedSelection
 from repro.errors import SolverError
 from repro.sampling.pool import RICSamplePool
@@ -47,7 +47,7 @@ def budgeted_lazy_greedy_nu(
         raise SolverError(f"budget must be positive, got {budget}")
     candidates = sorted(pool.touching_nodes())
     _check_costs(costs, candidates)
-    state = CoverageState(pool)
+    state = BitsetCoverage(pool)
     heap: LazyMaxHeap[int] = LazyMaxHeap()
     for node in candidates:
         gain = state.gain_fractional(node)
@@ -88,7 +88,7 @@ def best_single_affordable(
     dominates; taking the max against the best singleton restores the
     constant factor.
     """
-    state = CoverageState(pool)
+    state = BitsetCoverage(pool)
     best_node: Optional[int] = None
     best_gain = 0.0
     for node in sorted(pool.touching_nodes()):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
+from repro.core.bitset_engine import BitsetCoverage
 from repro.core.objective import CoverageState
 from repro.errors import SolverError
 from repro.sampling.pool import RICSamplePool
@@ -49,32 +50,11 @@ def _candidates(pool: RICSamplePool, restrict: Optional[Iterable[int]]) -> List[
     return sorted(pool.touching_nodes())
 
 
-def _make_state(pool: RICSamplePool, engine: str):
-    """Instantiate the coverage engine: "reference" (sets), "bitset"
-    (packed integer masks) or "flat" (the index compiled into parallel
-    contiguous arrays — same results as the other two, fastest
-    marginals; compacts the pool as a side effect)."""
-    if engine == "reference":
-        return CoverageState(pool)
-    if engine == "bitset":
-        from repro.core.bitset_engine import BitsetCoverage
-
-        return BitsetCoverage(pool)
-    if engine == "flat":
-        from repro.core.flat_engine import FlatCoverage
-
-        return FlatCoverage(pool)
-    raise SolverError(
-        f"engine must be 'reference', 'bitset' or 'flat', got {engine!r}"
-    )
-
-
 def greedy_maxr(
     pool: RICSamplePool,
     k: int,
     candidates: Optional[Iterable[int]] = None,
     tie_break_fractional: bool = True,
-    engine: str = "bitset",
     deadline: Optional[Deadline] = None,
 ) -> List[int]:
     """Greedy on ``ĉ_R`` — full marginal recomputation each round.
@@ -87,7 +67,7 @@ def greedy_maxr(
     """
     if k < 0:
         raise SolverError(f"k must be non-negative, got {k}")
-    state = _make_state(pool, engine)
+    state = BitsetCoverage(pool)
     pool_candidates = _candidates(pool, candidates)
     chosen: List[int] = []
     remaining = set(pool_candidates)
@@ -114,7 +94,6 @@ def lazy_greedy_nu(
     pool: RICSamplePool,
     k: int,
     candidates: Optional[Iterable[int]] = None,
-    engine: str = "bitset",
     deadline: Optional[Deadline] = None,
 ) -> List[int]:
     """CELF lazy greedy on the submodular ``ν_R``.
@@ -128,7 +107,7 @@ def lazy_greedy_nu(
     """
     if k < 0:
         raise SolverError(f"k must be non-negative, got {k}")
-    state = _make_state(pool, engine)
+    state = BitsetCoverage(pool)
     heap: LazyMaxHeap[int] = LazyMaxHeap()
     for node in _candidates(pool, candidates):
         gain = state.gain_fractional(node)
@@ -159,19 +138,20 @@ def greedy_eager_nu(
     pool: RICSamplePool,
     k: int,
     candidates: Optional[Iterable[int]] = None,
-    engine: str = "reference",
     deadline: Optional[Deadline] = None,
 ) -> List[int]:
     """Eager (recompute-everything) greedy on ``ν_R``.
 
     Exists as the reference implementation that
     :func:`lazy_greedy_nu` is validated against, and as the slow arm of
-    the CELF ablation benchmark — hence the ``"reference"`` engine
-    default, overridable for cross-engine checks.
+    the CELF ablation benchmark — hence it runs on the readable
+    :class:`~repro.core.objective.CoverageState` rather than the
+    :class:`~repro.core.bitset_engine.BitsetCoverage` engine the other
+    two greedies use.
     """
     if k < 0:
         raise SolverError(f"k must be non-negative, got {k}")
-    state = _make_state(pool, engine)
+    state = CoverageState(pool)
     remaining = set(_candidates(pool, candidates))
     chosen: List[int] = []
     for _ in range(min(k, len(remaining))):

@@ -8,13 +8,16 @@ Both MAXR objectives are functions of, per sample ``g``, the set of
 
 :class:`CoverageState` maintains ``I_g(S)`` incrementally as seeds are
 added, and computes the marginal gain of a candidate node for either
-objective in time proportional to the candidate's coverage list — the
-workhorse of every greedy solver in this package.
+objective in time proportional to the candidate's coverage list. It
+keeps per-sample member *sets* — the readable reference that the
+solvers' engine, :class:`~repro.core.bitset_engine.BitsetCoverage`
+(packed member masks, same answers), is checked against in the tests
+and by :func:`~repro.core.greedy.greedy_eager_nu`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.errors import SolverError
 from repro.obs import metrics
@@ -216,38 +219,3 @@ class CoverageState:
                     gain_c += 1
         return gain_c, gain_nu
 
-
-def evaluate_benefit(
-    pool: RICSamplePool, seeds: Iterable[int], engine: str = "reference"
-) -> float:
-    """One-shot ``ĉ_R(S)`` routed through the selected engine's arithmetic.
-
-    ``"reference"`` delegates to :meth:`RICSamplePool.estimate_benefit`
-    (per-sample member *sets*); ``"bitset"`` and ``"flat"`` union
-    per-sample member *masks* and popcount them — the same integer
-    influenced-count either way, hence bit-identical floats. Frequency
-    solvers (MAF, BT/MB) use this to honour their ``engine`` setting
-    for final seed-set evaluation without building full incremental
-    engine state for a single evaluation.
-    """
-    if engine == "reference":
-        return pool.estimate_benefit(seeds)
-    if engine not in ("bitset", "flat"):
-        raise SolverError(
-            f"engine must be 'reference', 'bitset' or 'flat', got {engine!r}"
-        )
-    if not pool.samples:
-        return 0.0
-    from repro.core.bitset_engine import _popcount
-
-    masks: Dict[int, int] = {}
-    for v in set(seeds):
-        for sample_idx, member_idx in pool.coverage_of(v):
-            masks[sample_idx] = masks.get(sample_idx, 0) | (1 << member_idx)
-    samples = pool.samples
-    influenced = sum(
-        1
-        for sample_idx, mask in masks.items()
-        if _popcount(mask) >= samples[sample_idx].threshold
-    )
-    return pool.total_benefit * influenced / len(samples)

@@ -32,14 +32,10 @@ class UBG:
         lazy: bool = True,
         run_c_greedy: bool = True,
         candidates: Optional[Iterable[int]] = None,
-        engine: str = "bitset",
         deadline: Optional[Deadline] = None,
     ) -> None:
         #: Use CELF for the ν arm (sound because ν is submodular).
         self.lazy = lazy
-        #: Coverage engine for both greedy arms: "reference", "bitset"
-        #: (default) or "flat" — identical seed sets, different speed.
-        self.engine = engine
         #: Also run greedy on ĉ_R (Alg. 2 line 2). Disabling keeps only
         #: the ν arm — the variant IMCAF integrates (Section V-B), whose
         #: ratio is consistent across stop stages.
@@ -79,7 +75,6 @@ class UBG:
                 pool,
                 k,
                 candidates=self.candidates,
-                engine=self.engine,
                 deadline=deadline,
             )
             value_nu = pool.estimate_benefit(seeds_nu)
@@ -94,8 +89,7 @@ class UBG:
                     pool,
                     k,
                     candidates=self.candidates,
-                    engine=self.engine,
-                    deadline=deadline,
+                        deadline=deadline,
                 )
                 value_c = pool.estimate_benefit(seeds_c)
         else:
@@ -136,15 +130,12 @@ class GreedyC:
     def __init__(
         self,
         candidates: Optional[Iterable[int]] = None,
-        engine: str = "bitset",
         deadline: Optional[Deadline] = None,
     ) -> None:
         #: Optional seeding-candidate restriction (None = all nodes).
         self.candidates: Optional[Set[int]] = (
             set(candidates) if candidates is not None else None
         )
-        #: Coverage engine for the greedy ("reference"/"bitset"/"flat").
-        self.engine = engine
         #: Optional time bound; best-so-far + ``truncated`` on expiry.
         self.deadline: Optional[Deadline] = as_deadline(deadline)
 
@@ -160,7 +151,6 @@ class GreedyC:
                 pool,
                 k,
                 candidates=self.candidates,
-                engine=self.engine,
                 deadline=self.deadline,
             )
         return SeedSelection(

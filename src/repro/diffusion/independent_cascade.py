@@ -12,7 +12,7 @@ test suite.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, List, Set
+from typing import Iterable, List, Set, Union
 
 from repro.graph.csr import FrozenDiGraph
 from repro.graph.digraph import DiGraph
@@ -20,7 +20,7 @@ from repro.rng import SeedLike, make_rng
 
 
 def simulate_ic(
-    graph: DiGraph,
+    graph: Union[DiGraph, FrozenDiGraph],
     seeds: Iterable[int],
     seed: SeedLike = None,
 ) -> Set[int]:
@@ -28,33 +28,23 @@ def simulate_ic(
 
     The simulation is round-free (BFS order): each newly activated node
     flips a coin per out-edge exactly once, which is distribution-
-    equivalent to the round-based formulation. On a frozen CSR snapshot
-    the cascade walks the shared
-    :meth:`~repro.graph.csr.FrozenDiGraph.out_pairs` traversal cache —
-    same coin order, identical activations per seed.
+    equivalent to the round-based formulation. The cascade walks the
+    CSR snapshot's :meth:`~repro.graph.csr.FrozenDiGraph.out_pairs`
+    traversal cache; a mutable graph is frozen first (memoised, so a
+    Monte-Carlo loop over one graph freezes it once).
     """
-    rng = make_rng(seed)
+    pairs = graph.freeze().out_pairs()
+    random = make_rng(seed).random
     active: Set[int] = set()
     frontier = deque()
     for s in seeds:
         if s not in active:
             active.add(s)
             frontier.append(s)
-    if isinstance(graph, FrozenDiGraph):
-        pairs = graph.out_pairs()
-        random = rng.random
-        while frontier:
-            u = frontier.popleft()
-            for v, w in pairs[u]:
-                if v not in active and random() < w:
-                    active.add(v)
-                    frontier.append(v)
-        return active
     while frontier:
         u = frontier.popleft()
-        targets, weights = graph.out_adjacency(u)
-        for v, w in zip(targets, weights):
-            if v not in active and rng.random() < w:
+        for v, w in pairs[u]:
+            if v not in active and random() < w:
                 active.add(v)
                 frontier.append(v)
     return active
@@ -76,7 +66,7 @@ def sample_live_edge_graph(graph: DiGraph, seed: SeedLike = None) -> DiGraph:
 
 
 def ic_round_trace(
-    graph: DiGraph,
+    graph: Union[DiGraph, FrozenDiGraph],
     seeds: Iterable[int],
     seed: SeedLike = None,
 ) -> List[Set[int]]:
@@ -86,6 +76,7 @@ def ic_round_trace(
     activated at round ``t``. Useful for visualisation and for tests of
     the round-based formulation's equivalence with :func:`simulate_ic`.
     """
+    pairs = graph.freeze().out_pairs()
     rng = make_rng(seed)
     active: Set[int] = set()
     current: Set[int] = set()
@@ -97,8 +88,7 @@ def ic_round_trace(
     while current:
         next_round: Set[int] = set()
         for u in sorted(current):
-            targets, weights = graph.out_adjacency(u)
-            for v, w in zip(targets, weights):
+            for v, w in pairs[u]:
                 if v not in active and rng.random() < w:
                     active.add(v)
                     next_round.add(v)

@@ -12,7 +12,7 @@ scheme already satisfies it exactly.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Set
+from typing import Dict, Iterable, Set, Union
 
 from repro.errors import GraphError
 from repro.graph.csr import FrozenDiGraph
@@ -53,7 +53,7 @@ def lt_live_edge_graph(graph: DiGraph, seed: SeedLike = None) -> DiGraph:
 
 
 def simulate_lt(
-    graph: DiGraph,
+    graph: Union[DiGraph, FrozenDiGraph],
     seeds: Iterable[int],
     seed: SeedLike = None,
     strict: bool = True,
@@ -64,18 +64,22 @@ def simulate_lt(
     node's incoming weights sum to at most ``1 + 1e-9`` and raises
     :class:`GraphError` otherwise; with ``strict=False`` the weights are
     used as-is (thresholds above the reachable mass simply never fire).
+    The cascade walks the CSR snapshot's
+    :meth:`~repro.graph.csr.FrozenDiGraph.out_pairs` traversal cache; a
+    mutable graph is frozen first (memoised).
     """
+    frozen = graph.freeze()
     if strict:
-        for v in graph.nodes():
-            _, weights = graph.in_adjacency(v)
-            total = sum(weights)
+        for v, pairs in enumerate(frozen.in_pairs()):
+            total = sum(w for _, w in pairs)
             if total > 1.0 + 1e-9:
                 raise GraphError(
                     f"LT model requires incoming weights to sum to <= 1; "
                     f"node {v} has total {total:.6f} "
                     "(use assign_weighted_cascade or strict=False)"
                 )
-    rng = make_rng(seed)
+    pairs = frozen.out_pairs()
+    random = make_rng(seed).random
     thresholds: Dict[int, float] = {}
     incoming_active: Dict[int, float] = {}
     active: Set[int] = set()
@@ -84,33 +88,14 @@ def simulate_lt(
         if s not in active:
             active.add(s)
             frontier.append(s)
-    if isinstance(graph, FrozenDiGraph):
-        # Frozen fast path: iterate the shared out_pairs traversal
-        # cache; threshold draws happen in the same lazy order, so the
-        # activation set matches the list-based walk exactly.
-        pairs = graph.out_pairs()
-        random = rng.random
-        while frontier:
-            u = frontier.popleft()
-            for v, w in pairs[u]:
-                if v in active:
-                    continue
-                if v not in thresholds:
-                    thresholds[v] = random()
-                incoming_active[v] = incoming_active.get(v, 0.0) + w
-                if incoming_active[v] >= thresholds[v]:
-                    active.add(v)
-                    frontier.append(v)
-        return active
     while frontier:
         u = frontier.popleft()
-        targets, weights = graph.out_adjacency(u)
-        for v, w in zip(targets, weights):
+        for v, w in pairs[u]:
             if v in active:
                 continue
             if v not in thresholds:
-                # Lazily drawn threshold; rng.random() is U[0,1).
-                thresholds[v] = rng.random()
+                # Lazily drawn threshold; random() is U[0,1).
+                thresholds[v] = random()
             incoming_active[v] = incoming_active.get(v, 0.0) + w
             if incoming_active[v] >= thresholds[v]:
                 active.add(v)

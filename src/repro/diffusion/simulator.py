@@ -15,7 +15,7 @@ to compute exactly, so the library offers three evaluators:
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Iterable, List, Set
 
 from repro.communities.structure import CommunityStructure
 from repro.diffusion.independent_cascade import simulate_ic
@@ -67,6 +67,7 @@ def community_benefit_monte_carlo(
     cascade = _MODELS.get(model)
     if cascade is None:
         raise EstimationError(f"unknown model {model!r}; expected 'ic' or 'lt'")
+    graph = graph.freeze()
     rng = make_rng(seed)
     seed_list = list(seeds)
     total = 0.0
@@ -89,6 +90,7 @@ def spread_monte_carlo(
     cascade = _MODELS.get(model)
     if cascade is None:
         raise EstimationError(f"unknown model {model!r}; expected 'ic' or 'lt'")
+    graph = graph.freeze()
     rng = make_rng(seed)
     seed_list = list(seeds)
     total = 0
@@ -158,7 +160,8 @@ class BenefitEvaluator:
 
     Experiments evaluate many seed sets against the same
     (graph, communities, model) triple; this class carries that context
-    and hands each evaluation an independent child RNG stream.
+    (the graph frozen once, at construction) and hands each evaluation
+    an independent child RNG stream.
     """
 
     def __init__(
@@ -172,7 +175,7 @@ class BenefitEvaluator:
         if model not in _MODELS:
             raise EstimationError(f"unknown model {model!r}; expected 'ic' or 'lt'")
         communities.validate_against(graph.num_nodes)
-        self.graph = graph
+        self.graph = graph.freeze()
         self.communities = communities
         self.num_trials = num_trials
         self.model = model

@@ -11,7 +11,7 @@ round-based IC of Section II-A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.communities.structure import CommunityStructure
 from repro.diffusion.independent_cascade import ic_round_trace
@@ -102,6 +102,7 @@ def average_tipping_profile(
     """
     from repro.rng import make_rng, spawn_rng
 
+    graph = graph.freeze()
     rng = make_rng(seed)
     seed_list = list(seeds)
     tipped_counts = [0] * communities.r

@@ -36,6 +36,7 @@ from repro.diffusion.simulator import BenefitEvaluator
 from repro.errors import ExperimentError
 from repro.experiments.checkpoint import CheckpointStore, as_checkpoint
 from repro.experiments.config import ExperimentConfig
+from repro.graph.csr import FrozenDiGraph
 from repro.graph.digraph import DiGraph
 from repro.obs import (
     build_manifest,
@@ -66,8 +67,13 @@ class AlgorithmRun:
 
 def build_instance(
     config: ExperimentConfig,
-) -> Tuple[DiGraph, CommunityStructure]:
-    """Materialise the (graph, communities) pair a config describes."""
+) -> Tuple[FrozenDiGraph, CommunityStructure]:
+    """Materialise the (graph, communities) pair a config describes.
+
+    Communities are detected on the generated graph; the graph is then
+    frozen once and the CSR snapshot returned, since that is the only
+    representation the sampling and cascade kernels read.
+    """
     dataset = load_dataset(
         config.dataset,
         scale=config.scale,
@@ -111,7 +117,7 @@ def build_instance(
     communities = build_structure(
         blocks, size_cap=config.size_cap, threshold_policy=policy
     )
-    return graph, communities
+    return graph.freeze(), communities
 
 
 def make_pool(

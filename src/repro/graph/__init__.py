@@ -7,8 +7,8 @@ This package provides:
 - :class:`~repro.graph.digraph.DiGraph` — the core adjacency structure
   with both forward and reverse adjacency (RIC sampling walks in-edges).
 - :class:`~repro.graph.csr.FrozenDiGraph` — the immutable CSR snapshot
-  (``DiGraph.freeze()``) the array-native sampling/simulation kernels
-  traverse; byte-identical results, contiguous storage.
+  (``DiGraph.freeze()``, memoised until the graph mutates), the only
+  representation the sampling and cascade kernels read.
 - :mod:`~repro.graph.builders` — construction from edge lists / files,
   undirected-to-directed conversion.
 - :mod:`~repro.graph.weights` — edge-weight schemes (weighted-cascade,

@@ -23,10 +23,11 @@ Two properties make the snapshot kernel-friendly:
   mean each in-edge is examined at most once per sample — so the kernel
   elides it; the ranks remain for live-edge masks and instrumentation.)
 
-Per-node slice *order* equals the mutable graph's adjacency-list order,
-which is what guarantees that samplers and simulators consume their RNG
-streams in exactly the same sequence on either representation — frozen
-and mutable runs are byte-identical, not merely equal in distribution.
+The snapshot is the only representation the sampling and cascade
+kernels read. Per-node slice *order* equals the mutable graph's
+adjacency-list order, so a kernel consumes its RNG stream in exactly
+the sequence the literal list-based algorithm would — the kernels are
+byte-identical to those references, not merely equal in distribution.
 
 The snapshot is immutable and picklable (worker processes of the
 parallel sampling engine receive it as-is). Accessors that exist for
@@ -70,10 +71,10 @@ class FrozenDiGraph:
     """Immutable CSR snapshot of a :class:`DiGraph`.
 
     Exposes the read surface of :class:`DiGraph` (``num_nodes``,
-    ``in_adjacency``, ``out_degree``, ``edges``, ...) so samplers,
-    simulators and analysis code accept either representation; the
-    compatibility accessors return immutable tuples. Hot kernels use
-    the raw CSR buffers instead:
+    ``in_adjacency``, ``out_degree``, ``edges``, ...) so analysis code
+    accepts either representation; the compatibility accessors return
+    immutable tuples. The sampling and cascade kernels read only
+    snapshots, through the traversal caches over the raw CSR buffers:
 
     - ``in_offsets`` / ``in_neighbor_ids`` / ``in_weights`` /
       ``in_edge_ranks`` — reverse adjacency, the RIC/RR sampling layout;
@@ -115,8 +116,8 @@ class FrozenDiGraph:
         self = object.__new__(cls)
         self._n = graph.num_nodes
         self._m = graph.num_edges
-        # Adjacency-list order is preserved verbatim so RNG consumption
-        # order is identical on the frozen and mutable representations.
+        # Adjacency-list order is preserved verbatim so the kernels
+        # draw in the order of the list-based reference algorithms.
         out_lists = [graph.out_adjacency(u)[0] for u in graph.nodes()]
         out_weight_lists = [graph.out_adjacency(u)[1] for u in graph.nodes()]
         in_lists = [graph.in_adjacency(u)[0] for u in graph.nodes()]

@@ -10,7 +10,7 @@ parallel lists of neighbour ids and weights.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import GraphError
 from repro.utils.validation import check_node, check_probability
@@ -43,6 +43,7 @@ class DiGraph:
         "_edge_index",
         "_m",
         "_edge_rank_cache",
+        "_frozen",
     )
 
     def __init__(self, num_nodes: int = 0) -> None:
@@ -57,6 +58,8 @@ class DiGraph:
         self._edge_index: Dict[Tuple[int, int], int] = {}
         self._m = 0
         self._edge_rank_cache: Optional[Dict[Tuple[int, int], int]] = None
+        # Memoised CSR snapshot; every mutation drops it.
+        self._frozen = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -64,6 +67,7 @@ class DiGraph:
 
     def add_node(self) -> int:
         """Append a fresh node and return its id."""
+        self._frozen = None
         self._out.append([])
         self._out_w.append([])
         self._in.append([])
@@ -81,6 +85,7 @@ class DiGraph:
         """
         if count < 0:
             raise GraphError(f"cannot add a negative number of nodes: {count}")
+        self._frozen = None
         self._out.extend([] for _ in range(count))
         self._out_w.extend([] for _ in range(count))
         self._in.extend([] for _ in range(count))
@@ -99,6 +104,7 @@ class DiGraph:
         check_probability(weight, "weight", GraphError)
         if source == target:
             raise GraphError(f"self-loops are not allowed (node {source})")
+        self._frozen = None
         key = (source, target)
         pos = self._edge_index.get(key)
         if pos is not None:
@@ -184,9 +190,9 @@ class DiGraph:
     def in_adjacency(self, node: int) -> Tuple[List[int], List[float]]:
         """Parallel ``(sources, weights)`` lists of in-edges of ``node``.
 
-        .. warning:: **Aliasing.** Hot path for RIC sampling: the
-           returned lists are the graph's *internal* adjacency storage,
-           not copies. Mutating them corrupts the edge index silently.
+        .. warning:: **Aliasing.** The returned lists are the graph's
+           *internal* adjacency storage, not copies. Mutating them
+           corrupts the edge index (and the memoised snapshot) silently.
            Treat them as frozen, or call :meth:`freeze` and use the
            :class:`~repro.graph.csr.FrozenDiGraph` accessors, which
            return genuinely immutable tuples.
@@ -257,16 +263,21 @@ class DiGraph:
     def freeze(self):
         """Snapshot into an immutable CSR :class:`~repro.graph.csr.FrozenDiGraph`.
 
-        The snapshot preserves adjacency order exactly, so samplers and
-        simulators consume their RNG streams identically on either
-        representation; it is the layout the array-native hot-path
-        kernels (RIC/RR sampling, IC/LT cascades) run fastest on. The
-        original graph is untouched and may keep growing — the snapshot
-        does not follow later mutations.
+        The snapshot is the only representation the sampling and
+        cascade kernels read; every kernel consumer handed a mutable
+        graph calls this once. The result is memoised until the next
+        mutation, so repeated calls (a sampler, the Estimate sampler
+        and an evaluator over one graph) share one snapshot and its
+        traversal caches, and ``graph.freeze() is graph.freeze()``
+        holds while the graph is unchanged. Later mutations are not
+        reflected in an earlier snapshot; they make the next call
+        build a fresh one.
         """
-        from repro.graph.csr import FrozenDiGraph
+        if self._frozen is None:
+            from repro.graph.csr import FrozenDiGraph
 
-        return FrozenDiGraph.from_digraph(self)
+            self._frozen = FrozenDiGraph.from_digraph(self)
+        return self._frozen
 
     def __repr__(self) -> str:
         return f"DiGraph(n={self._n}, m={self._m})"

@@ -33,6 +33,7 @@ def celf_im(
     check_seed_budget(k, graph.num_nodes, SolverError)
     if num_trials < 1:
         raise SolverError(f"num_trials must be >= 1, got {num_trials}")
+    graph = graph.freeze()
     rng = make_rng(seed)
     chosen: List[int] = []
     current_spread = 0.0

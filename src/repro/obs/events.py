@@ -14,7 +14,7 @@ directory), always cheap (one dict + one write per lifecycle incident,
 never per request), and most valuable exactly when things crash.
 
 Event ``event`` types are closed over :data:`EVENT_TYPES` —
-``scripts/check_span_names.py`` lints emit call sites against it and
+``scripts/check_catalogues.py`` lints emit call sites against it and
 ``docs/observability.md`` documents every type.
 """
 

@@ -29,7 +29,7 @@ DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
 )
 
 #: Catalogue of every metric name the package emits, mapped to a
-#: one-line description. ``scripts/check_metric_names.py`` greps ``src/``
+#: one-line description. ``scripts/check_catalogues.py`` greps ``src/``
 #: for ``inc(``/``set_gauge(``/``observe(`` call sites and fails when a
 #: literal name is missing here, and the docs-consistency test requires
 #: every catalogued name to appear in ``docs/observability.md`` — so

@@ -43,7 +43,7 @@ TRACE_HEADER = "X-Repro-Trace-Id"
 PARENT_HEADER = "X-Repro-Parent-Span"
 
 #: Every span name the codebase may emit, with a one-line meaning.
-#: ``scripts/check_span_names.py`` lints literal-name span call sites
+#: ``scripts/check_catalogues.py`` lints literal-name span call sites
 #: against this catalogue (both directions), and
 #: ``tests/test_docs_consistency.py`` checks each name is documented.
 SPAN_CATALOG: Dict[str, str] = {
@@ -64,8 +64,6 @@ SPAN_CATALOG: Dict[str, str] = {
     "experiment/evaluate": "common-pool evaluation of one algorithm's seeds",
     "campaign/cell": "one (dataset, scale, algorithm) campaign cell",
     "checkpoint/record": "campaign checkpoint write",
-    "bench/sampling": "sampling benchmark lane",
-    "bench/engine": "engine benchmark lane",
     "router/solve": "router-side request span (one client /solve)",
     "router/forward": "one forward attempt to a replica (failover = siblings)",
     "serving/request": "replica-side request span (adopted trace context)",

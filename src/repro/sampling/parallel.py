@@ -52,10 +52,11 @@ import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.communities.structure import CommunityStructure
 from repro.errors import SamplingError, WorkerCrashError
+from repro.graph.csr import FrozenDiGraph
 from repro.graph.digraph import DiGraph
 from repro.obs import metrics, trace
 from repro.obs.session import enabled as _obs_enabled
@@ -119,7 +120,7 @@ _WORKER_CAPTURE: bool = False
 
 
 def _init_worker(
-    graph: DiGraph,
+    graph: FrozenDiGraph,
     communities: CommunityStructure,
     model: str,
     injector: Optional[FaultInjector] = None,
@@ -220,7 +221,7 @@ class ParallelRICSampler:
 
     def __init__(
         self,
-        graph: DiGraph,
+        graph: Union[DiGraph, FrozenDiGraph],
         communities: CommunityStructure,
         seed: SeedLike = None,
         model: str = "ic",
@@ -250,8 +251,8 @@ class ParallelRICSampler:
     # -- RICSampler-compatible surface ---------------------------------
 
     @property
-    def graph(self) -> DiGraph:
-        """The sampled graph (shared with the serial template)."""
+    def graph(self) -> FrozenDiGraph:
+        """The sampled CSR snapshot (shared with the serial template)."""
         return self._serial.graph
 
     @property

@@ -20,7 +20,8 @@ Endpoints:
 - ``POST /solve`` — body ``{"scenario", "budget", "solver"?,
   "ci_width"?}``; concurrent identical requests are batched onto one
   solve. Deterministic fields (``seeds``, ``objective``,
-  ``num_samples``) depend only on the scenario spec and the query.
+  ``num_samples``) are a function of the scenario spec, the query and
+  the pool size ``num_samples``, which ``ci_width`` top-ups may grow.
   Adopts the inbound ``X-Repro-Trace-Id``/``X-Repro-Parent-Span``
   trace context (minting a trace id when absent) and answers with the
   trace id plus a ``Server-Timing`` per-phase breakdown — headers
@@ -29,7 +30,12 @@ Endpoints:
   connections and closes every shard.
 
 Error mapping: a :class:`~repro.errors.ServingError` on an unknown
-scenario is ``404``; any other :class:`~repro.errors.ReproError` is
+scenario is ``404`` and any other ``ServingError`` (a bad request) is
+``400``; server-side faults — :class:`~repro.errors.SamplingError`
+(including :class:`~repro.errors.WorkerCrashError`) and
+:class:`~repro.errors.DeadlineExceededError` — are ``503``, so the
+cluster router fails over to the next replica instead of passing the
+fault to the client; any other :class:`~repro.errors.ReproError` is
 ``400``; unexpected exceptions are ``500`` — a request is answered in
 all cases, never dropped. Malformed framing is rejected *before* the
 body is read: a missing ``Content-Length`` is ``411``, a declared
@@ -46,7 +52,12 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.errors import ReproError, ServingError
+from repro.errors import (
+    DeadlineExceededError,
+    ReproError,
+    SamplingError,
+    ServingError,
+)
 from repro.obs import metrics, trace
 from repro.obs.metrics import to_prometheus_text
 from repro.obs.sinks import read_jsonl
@@ -515,6 +526,10 @@ class _Handler(BaseHTTPRequestHandler):
         except ServingError as exc:
             code = 404 if "unknown scenario" in str(exc) else 400
             self._send_json(code, {"error": str(exc)})
+        except (SamplingError, DeadlineExceededError) as exc:
+            # The replica's fault, not the client's: 503 makes the
+            # router fail over rather than return the error as-is.
+            self._send_json(503, {"error": str(exc)})
         except ReproError as exc:
             self._send_json(400, {"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 - answer, never drop

@@ -36,7 +36,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.communities.structure import CommunityStructure
 from repro.core.bt import BT, MB
 from repro.core.maf import MAF
-from repro.core.objective import evaluate_benefit
 from repro.core.ubg import UBG, GreedyC
 from repro.errors import ServingError
 from repro.obs import metrics, trace
@@ -63,22 +62,22 @@ MAX_POOL_FACTOR = 4
 
 
 def make_solver(name: str, seed: Optional[int]):
-    """Build a fresh solver routed through the flat coverage engine.
+    """Build a fresh solver for one request.
 
     Solvers carry per-run state (deadlines, RNG streams), so each solve
     gets a new instance; MAF/MB randomness is derived from ``seed`` so
     repeated solves of the same request are deterministic.
     """
     if name == "UBG":
-        return UBG(engine="flat")
+        return UBG()
     if name == "MAF":
-        return MAF(seed=seed, engine="flat")
+        return MAF(seed=seed)
     if name == "BT":
-        return BT(engine="flat")
+        return BT()
     if name == "MB":
-        return MB(seed=seed, engine="flat")
+        return MB(seed=seed)
     if name == "GreedyC":
-        return GreedyC(engine="flat")
+        return GreedyC()
     raise ServingError(
         f"unknown solver {name!r} (known: {', '.join(SOLVERS)})"
     )
@@ -183,11 +182,15 @@ class WarmShard:
 
         Requires :attr:`lock`. Returns ``(response, cache_hit)``. The
         response's deterministic fields — ``seeds``, ``objective``,
-        ``num_samples`` — depend only on the scenario spec and the
-        query, never on timing, shard crashes or request interleaving
-        (for ``ci_width`` queries the pool size additionally reflects
-        earlier top-ups, so ``num_samples`` is "at least enough", not a
-        fixed number).
+        ``num_samples`` — are a function of the scenario spec, the
+        query and the pool size ``num_samples``, never of timing, shard
+        crashes or request interleaving. The pool size is not fixed by
+        the query: a ``ci_width`` query (this one or an earlier one on
+        the same shard) may have topped the pool up, and a plain query
+        is then answered on the grown pool, so its seeds can differ
+        from the answer it got before the top-up. The pool only grows,
+        and the samples it holds at any size are fixed by the spec, so
+        ``(spec, query, num_samples)`` determines the answer.
 
         With ``ci_width`` set, the pool is topped up (doubling, in
         bounded merge rounds) until the relative CI width of ĉ(S) is
@@ -216,7 +219,7 @@ class WarmShard:
                 self.pool, k
             )
             seeds = sorted(selection.seeds)
-            objective = evaluate_benefit(self.pool, seeds, engine="flat")
+            objective = self.pool.estimate_benefit(seeds)
             n = len(self.pool)
             influenced = self.pool.influenced_count(seeds)
             halfwidth = self.pool.total_benefit * normal_halfwidth(

@@ -1,4 +1,12 @@
-"""Bitset engine tests: exact equivalence with the reference engine."""
+"""Bitset engine tests: exact equivalence with the reference engine.
+
+``BitsetCoverage`` is the one coverage engine the solvers run, so the
+engine-specific mechanics are pinned here: exact agreement with
+``CoverageState`` on hand-built and sampled pools, the stale-pool
+guard, resync after (interleaved) growth, and the empty pool. The
+concurrent-resync guard is covered per engine in
+``test_concurrency_fixes.py``.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +17,8 @@ from repro.core.bitset_engine import BitsetCoverage
 from repro.core.objective import CoverageState
 from repro.errors import SolverError
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import planted_partition_graph
+from repro.graph.weights import assign_weighted_cascade
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSample, RICSampler
 
@@ -25,6 +35,22 @@ def _manual_pool():
     pool = RICSamplePool(RICSampler(DiGraph(NUM_NODES), communities, seed=1))
     pool.add(RICSample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 5}))))
     pool.add(RICSample(1, 1, (2,), (frozenset({2, 4}),)))
+    return pool
+
+
+def _sampled_pool(samples=120, seed=3):
+    graph, blocks = planted_partition_graph(
+        [8] * 4, p_in=0.4, p_out=0.03, directed=True, seed=13
+    )
+    assign_weighted_cascade(graph)
+    communities = CommunityStructure(
+        [
+            Community(members=tuple(b), threshold=2, benefit=float(len(b)))
+            for b in blocks
+        ]
+    )
+    pool = RICSamplePool(RICSampler(graph, communities, seed=seed))
+    pool.grow(samples)
     return pool
 
 
@@ -65,6 +91,99 @@ def test_unknown_node_gains_nothing():
     assert fast.gain_pair(99) == (0, 0.0)
     fast.add_seed(99)  # harmless: touches nothing
     assert fast.influenced_count == 0
+
+
+def test_matches_reference_on_every_gain_of_a_sampled_pool():
+    pool = _sampled_pool()
+    reference = CoverageState(pool)
+    fast = BitsetCoverage(pool)
+    nodes = pool.touching_nodes()
+    for _ in range(4):
+        for v in nodes:
+            assert fast.gain_pair(v) == reference.gain_pair(v)
+        best = max(
+            (v for v in nodes if v not in reference.seeds),
+            key=lambda v: reference.gain_pair(v),
+        )
+        reference.add_seed(best)
+        fast.add_seed(best)
+        assert fast.influenced_count == reference.influenced_count
+        assert fast.fractional_count == pytest.approx(
+            reference.fractional_count
+        )
+        assert fast.estimate_benefit() == reference.estimate_benefit()
+        assert fast.estimate_upper_bound() == pytest.approx(
+            reference.estimate_upper_bound()
+        )
+
+
+def test_estimate_benefit_identical_across_engines_and_pool():
+    pool = _sampled_pool(samples=100)
+    seeds = pool.touching_nodes()[:5]
+    expected = pool.estimate_benefit(seeds)
+    reference = CoverageState(pool)
+    fast = BitsetCoverage(pool)
+    for v in seeds:
+        reference.add_seed(v)
+        fast.add_seed(v)
+    assert reference.estimate_benefit() == expected
+    assert fast.estimate_benefit() == expected
+    assert pool.estimate_benefit([]) == 0.0
+    assert BitsetCoverage(pool).estimate_benefit() == 0.0
+
+
+def test_stale_pool_guard_and_resync():
+    pool = _sampled_pool(samples=60)
+    fast = BitsetCoverage(pool)
+    node = pool.touching_nodes()[0]
+    fast.add_seed(node)
+    pool.grow(40)
+    with pytest.raises(SolverError, match="pool grew"):
+        fast.gain_pair(node)
+    with pytest.raises(SolverError, match="pool grew"):
+        fast.estimate_benefit()
+    with pytest.raises(SolverError, match="pool grew"):
+        fast.add_seed(pool.touching_nodes()[1])
+    fast.resync()
+    fresh = CoverageState(pool)
+    fresh.add_seed(node)
+    assert fast.influenced_count == fresh.influenced_count
+    for v in pool.touching_nodes():
+        assert fast.gain_pair(v) == fresh.gain_pair(v)
+    fast.resync()  # no-op when already synced
+    assert fast.influenced_count == fresh.influenced_count
+
+
+def test_resync_after_interleaved_growth_matches_fresh_engine():
+    pool = _sampled_pool(samples=80)
+    fast = BitsetCoverage(pool)
+    for round_idx in range(3):
+        pool.grow(30)
+        fast.resync()
+        fresh = BitsetCoverage(pool)
+        for v in fast.seeds:
+            fresh.add_seed(v)
+        for v in pool.touching_nodes():
+            assert fast.gain_pair(v) == fresh.gain_pair(v)
+        assert fast.influenced_count == fresh.influenced_count
+        seed = pool.touching_nodes()[round_idx * 3]
+        if seed not in fast.seeds:
+            fast.add_seed(seed)
+    reference = CoverageState(pool)
+    for v in fast.seeds:
+        reference.add_seed(v)
+    assert fast.influenced_count == reference.influenced_count
+
+
+def test_empty_pool():
+    communities = CommunityStructure(
+        [Community(members=(0,), threshold=1, benefit=1.0)]
+    )
+    pool = RICSamplePool(RICSampler(DiGraph(2), communities, seed=0))
+    fast = BitsetCoverage(pool)
+    assert fast.estimate_benefit() == 0.0
+    assert fast.estimate_upper_bound() == 0.0
+    assert fast.gain_pair(0) == (0, 0.0)
 
 
 @st.composite

@@ -20,7 +20,13 @@ import time
 import pytest
 
 from repro.communities.structure import Community, CommunityStructure
-from repro.errors import ClusterError, ServingError
+from repro.errors import (
+    ClusterError,
+    DeadlineExceededError,
+    SamplingError,
+    ServingError,
+    WorkerCrashError,
+)
 from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
 from repro.serving import (
@@ -303,6 +309,80 @@ class TestRouterApp:
             assert status == 200
             assert elapsed >= 0.2  # the chaos delay was really injected
         finally:
+            server.shutdown()
+            server.server_close()
+            app.close()
+
+
+# ----------------------------------------------------------------------
+# Fault classification: server faults fail over, client errors pass
+# ----------------------------------------------------------------------
+
+
+_FAULTS = [
+    (SamplingError("parallel sampler was closed while sampling"), 503),
+    (WorkerCrashError("batch kept failing", attempts=3), 503),
+    (DeadlineExceededError("time budget expired"), 503),
+    (ServingError("budget must be >= 1, got 0"), 400),
+    (ServingError("unknown scenario 'nope'"), 404),
+]
+
+
+@pytest.mark.parametrize(
+    "error, replica_status",
+    _FAULTS,
+    ids=["sampling", "worker-crash", "deadline", "bad-request", "unknown"],
+)
+def test_router_failover_contract_per_error_class(error, replica_status):
+    """A replica answers each error class with its status; the router
+    fails over on the 503s and passes the 4xx through unchanged."""
+    import http.client
+
+    spec = _spec()
+    instance = _instance()
+    faulty, faulty_server, faulty_port = _serve_replica(spec, instance)
+    healthy, healthy_server, healthy_port = _serve_replica(spec, instance)
+
+    def raise_error(payload, headers=None):
+        raise error
+
+    faulty.handle_solve = raise_error
+    try:
+        # The faulty replica's own answer: the classification itself.
+        conn = http.client.HTTPConnection("127.0.0.1", faulty_port, timeout=10)
+        body = json.dumps({"scenario": "planted", "budget": 3})
+        conn.request(
+            "POST", "/solve", body, {"Content-Type": "application/json"}
+        )
+        response = conn.getresponse()
+        replica_body = response.read()
+        conn.close()
+        assert response.status == replica_status
+        assert json.loads(replica_body) == {"error": str(error)}
+
+        # Through the router, with the faulty replica as the home.
+        order = rendezvous_order("planted", ["r0", "r1"])
+        endpoints = [
+            ReplicaEndpoint(order[0], "127.0.0.1", faulty_port, True),
+            ReplicaEndpoint(order[1], "127.0.0.1", healthy_port, True),
+        ]
+        router = RouterApp(lambda: endpoints)
+        status, routed = router.route_solve(
+            {"scenario": "planted", "budget": 3}
+        )
+        if replica_status == 503:
+            assert status == 200
+            assert json.loads(routed)["num_samples"] == spec.pool_size
+            assert router.counters["failovers"] == 1
+        else:
+            assert status == replica_status
+            assert routed == replica_body
+            assert router.counters["failovers"] == 0
+            assert router.breaker(order[0]).state() == "closed"
+    finally:
+        for server, app in (
+            (faulty_server, faulty), (healthy_server, healthy)
+        ):
             server.shutdown()
             server.server_close()
             app.close()

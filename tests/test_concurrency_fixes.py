@@ -23,7 +23,6 @@ import pytest
 
 from repro.communities.structure import Community, CommunityStructure
 from repro.core.bitset_engine import BitsetCoverage
-from repro.core.flat_engine import FlatCoverage
 from repro.core.objective import CoverageState
 from repro.errors import SolverError
 from repro.obs.sinks import JsonlSink, read_jsonl
@@ -113,8 +112,8 @@ class TestCompactTopUpCycle:
 
 @pytest.mark.parametrize(
     "engine_factory",
-    [CoverageState, BitsetCoverage, FlatCoverage],
-    ids=["reference", "bitset", "flat"],
+    [CoverageState, BitsetCoverage],
+    ids=["reference", "bitset"],
 )
 class TestResyncGuard:
     def test_marginals_raise_mid_resync(self, planted_pool, engine_factory):

@@ -12,6 +12,7 @@ from repro.core.framework import (
     psi_sample_bound,
     solve_imc,
 )
+from repro.core.bt import MB
 from repro.core.maf import MAF
 from repro.core.ubg import UBG
 from repro.diffusion.simulator import community_benefit_exact
@@ -212,6 +213,43 @@ def test_solve_imc_reuses_supplied_pool(small_imc_instance):
     )
     assert result.num_samples == len(pool)
     assert len(pool) >= 100
+
+
+@pytest.mark.parametrize(
+    "make_solver", [UBG, lambda: MB(seed=3)], ids=["UBG", "MB"]
+)
+def test_solve_imc_freeze_boundary(small_imc_instance, make_solver):
+    """A DiGraph and its freeze() give identical results, with or
+    without a caller-built pool over either representation."""
+    graph, communities = small_imc_instance
+    frozen = graph.freeze()
+    kwargs = dict(k=4, seed=21, max_samples=3000)
+    on_graph = solve_imc(graph, communities, solver=make_solver(), **kwargs)
+    on_frozen = solve_imc(frozen, communities, solver=make_solver(), **kwargs)
+    assert on_graph == on_frozen
+    assert on_graph.selection.seeds
+
+    pooled = []
+    for pool_graph, solve_graph in [
+        (graph, graph), (graph, frozen), (frozen, graph), (frozen, frozen)
+    ]:
+        pool = RICSamplePool(RICSampler(pool_graph, communities, seed=44))
+        pooled.append(
+            solve_imc(
+                solve_graph,
+                communities,
+                solver=make_solver(),
+                pool=pool,
+                **kwargs,
+            )
+        )
+    assert all(result == pooled[0] for result in pooled)
+
+    # A pool over a snapshot the graph has since outgrown is foreign.
+    stale = RICSamplePool(RICSampler(graph, communities, seed=44))
+    graph.add_edge(0, graph.num_nodes - 1, 0.1)
+    with pytest.raises(SolverError, match="different graph"):
+        solve_imc(graph, communities, solver=make_solver(), pool=stale, **kwargs)
 
 
 def test_solve_imc_deterministic_given_seed(small_imc_instance):

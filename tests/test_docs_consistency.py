@@ -84,24 +84,37 @@ def test_design_md_flags_paper_match():
 # ---------------------------------------------------------------------
 
 
-def _load_metric_lint():
+def _load_lint():
     import importlib.util
 
     spec = importlib.util.spec_from_file_location(
-        "check_metric_names", ROOT / "scripts" / "check_metric_names.py"
+        "check_catalogues", ROOT / "scripts" / "check_catalogues.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def _run_lint_script():
+    import subprocess
+    import sys
+
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "check_catalogues.py")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr or result.stdout
+    return result.stdout
+
+
 def test_every_emitted_metric_name_is_catalogued():
     from repro.obs.metrics import CATALOG
 
-    lint = _load_metric_lint()
-    sites = lint.find_metric_call_sites()
+    lint = _load_lint()
+    sites = lint._scan(lint.METRIC_SITE)
     assert sites, "no metric call sites found under src/ — lint broken?"
-    missing, stale = lint.check_catalog(CATALOG, sites)
+    missing, stale = lint.check_names(CATALOG, sites)
     assert not missing, (
         "metric names emitted but missing from CATALOG: "
         f"{sorted({site.name for site in missing})}"
@@ -123,15 +136,7 @@ def test_every_catalogued_metric_is_documented():
 
 
 def test_metric_lint_script_passes_as_a_script():
-    import subprocess
-    import sys
-
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "check_metric_names.py")],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stderr or result.stdout
+    assert "metric sites" in _run_lint_script()
 
 
 # ---------------------------------------------------------------------
@@ -139,22 +144,11 @@ def test_metric_lint_script_passes_as_a_script():
 # ---------------------------------------------------------------------
 
 
-def _load_span_lint():
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "check_span_names", ROOT / "scripts" / "check_span_names.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_emitted_span_name_is_catalogued():
     from repro.obs.tracer import SPAN_CATALOG
 
-    lint = _load_span_lint()
-    sites = lint.find_span_call_sites()
+    lint = _load_lint()
+    sites = lint._scan(lint.SPAN_SITE)
     assert sites, "no span call sites found under src/ — lint broken?"
     unknown, stale = lint.check_names(SPAN_CATALOG, sites)
     assert not unknown, (
@@ -167,8 +161,8 @@ def test_every_emitted_span_name_is_catalogued():
 def test_every_emitted_event_type_is_catalogued():
     from repro.obs.events import EVENT_TYPES
 
-    lint = _load_span_lint()
-    sites = lint.find_event_emit_sites()
+    lint = _load_lint()
+    sites = lint._scan(lint.EVENT_SITE)
     assert sites, "no event emit sites found under src/ — lint broken?"
     unknown, stale = lint.check_names(EVENT_TYPES, sites)
     assert not unknown, (
@@ -196,12 +190,5 @@ def test_every_span_and_event_name_is_documented():
 
 
 def test_span_lint_script_passes_as_a_script():
-    import subprocess
-    import sys
-
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "check_span_names.py")],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0, result.stderr or result.stdout
+    out = _run_lint_script()
+    assert "span sites" in out and "event sites" in out

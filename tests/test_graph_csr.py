@@ -1,10 +1,11 @@
 """FrozenDiGraph: CSR snapshot correctness and kernel equivalence.
 
-The contract under test is strong: freezing a graph must leave every
-randomized pipeline *byte-identical* — same RNG draw order, same
-samples, same cascades — not merely equal in distribution. The suite
-therefore compares frozen-vs-mutable outputs exactly, never
-statistically.
+The sampling and cascade kernels read only the CSR snapshot. The
+contract under test is strong: for a fixed seed each kernel must be
+*byte-identical* to the literal mutable-graph reference in
+``tests/oracles.py`` — same RNG draw order, same samples, same
+cascades — not merely equal in distribution. The suite therefore
+compares kernel and oracle outputs exactly, never statistically.
 """
 
 import pickle
@@ -21,6 +22,7 @@ from repro.graph.generators import planted_partition_graph
 from repro.graph.weights import assign_weighted_cascade
 from repro.sampling.ric import RICSampler
 from repro.sampling.rr import RRSampler
+from tests import oracles
 
 
 @pytest.fixture(scope="module")
@@ -127,43 +129,67 @@ def test_pair_caches_match_adjacency_order():
 
 def test_ric_sampling_byte_identical_ic(instance):
     graph, communities = instance
-    frozen = graph.freeze()
-    mutable = RICSampler(graph, communities, seed=5).sample_many(300)
-    fast = RICSampler(frozen, communities, seed=5).sample_many(300)
-    assert mutable == fast
+    expected = oracles.ric_samples(graph, communities, seed=5, count=300)
+    assert RICSampler(graph, communities, seed=5).sample_many(300) == expected
+    frozen = RICSampler(graph.freeze(), communities, seed=5)
+    assert frozen.sample_many(300) == expected
 
 
 def test_ric_sampling_byte_identical_lt(instance):
     graph, communities = instance
-    frozen = graph.freeze()
-    mutable = RICSampler(
-        graph, communities, seed=5, model="lt"
-    ).sample_many(200)
-    fast = RICSampler(
-        frozen, communities, seed=5, model="lt"
-    ).sample_many(200)
-    assert mutable == fast
+    expected = oracles.ric_samples(
+        graph, communities, seed=5, count=200, model="lt"
+    )
+    sampler = RICSampler(graph, communities, seed=5, model="lt")
+    assert sampler.sample_many(200) == expected
+
+
+def test_ric_forced_source_matches_oracle(instance):
+    graph, communities = instance
+    sampler = RICSampler(graph, communities, seed=0)
+    for index in range(len(communities)):
+        for sample_seed in (3, 17):
+            assert sampler.sample_from_seed(
+                sample_seed, community_index=index
+            ) == oracles.ric_sample(
+                graph, communities, sample_seed, community_index=index
+            )
 
 
 def test_rr_sampling_byte_identical(instance):
     graph, _ = instance
-    frozen = graph.freeze()
-    slow = RRSampler(graph, seed=9)
-    fast = RRSampler(frozen, seed=9)
-    for _ in range(200):
-        assert slow.sample() == fast.sample()
+    sampler = RRSampler(graph, seed=9)
+    assert sampler.sample_many(200) == oracles.rr_sets(graph, seed=9, count=200)
 
 
 def test_simulations_byte_identical(instance):
     graph, _ = instance
     frozen = graph.freeze()
     for seed in range(20):
-        assert simulate_ic(graph, [seed], seed=seed) == simulate_ic(
-            frozen, [seed], seed=seed
-        )
-        assert simulate_lt(graph, [seed], seed=seed) == simulate_lt(
-            frozen, [seed], seed=seed
-        )
+        expected_ic = oracles.simulate_ic(graph, [seed], seed=seed)
+        assert simulate_ic(graph, [seed], seed=seed) == expected_ic
+        assert simulate_ic(frozen, [seed], seed=seed) == expected_ic
+        expected_lt = oracles.simulate_lt(graph, [seed], seed=seed)
+        assert simulate_lt(graph, [seed], seed=seed) == expected_lt
+        assert simulate_lt(frozen, [seed], seed=seed) == expected_lt
+
+
+def test_kernels_read_the_memoised_snapshot():
+    graph = small_graph()
+    frozen = graph.freeze()
+    assert graph.freeze() is frozen
+    assert RRSampler(graph, seed=1).graph is frozen
+    communities = CommunityStructure(
+        [Community(members=(0, 1), threshold=1, benefit=1.0)]
+    )
+    assert RICSampler(graph, communities, seed=1).graph is frozen
+    # Any mutation drops the memo; the old snapshot is left untouched.
+    graph.add_edge(1, 3, 0.5)
+    refrozen = graph.freeze()
+    assert refrozen is not frozen
+    assert refrozen.has_edge(1, 3) and not frozen.has_edge(1, 3)
+    graph.add_node()
+    assert graph.freeze().num_nodes == 6 and refrozen.num_nodes == 5
 
 
 def test_frozen_rejects_out_of_range_nodes():

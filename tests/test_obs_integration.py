@@ -248,23 +248,14 @@ def test_report_renders_metrics_dump_with_bucket_tables(capsys, tmp_path):
     assert "<= 1" in report  # the per-bucket table rows
 
 
-def test_bench_record_refuses_dirty_tree(capsys, tmp_path, monkeypatch):
+def test_require_clean_tree_refuses_dirty_tree(monkeypatch):
     import repro.obs.environment as environment
+    from repro.errors import ReproError
 
     monkeypatch.setattr(environment, "working_tree_dirty", lambda cwd=None: True)
-    args = [
-        "bench",
-        "--samples",
-        "60",
-        "--k",
-        "2",
-        "--record",
-        "--output",
-        str(tmp_path / "bench.json"),
-    ]
-    assert main(args) == 2
-    assert "dirty working tree" in capsys.readouterr().err
-    assert not (tmp_path / "bench.json").exists()
-    # --allow-dirty overrides the refusal.
-    assert main(args + ["--allow-dirty"]) == 0
-    assert (tmp_path / "bench.json").exists()
+    with pytest.raises(ReproError, match="dirty working tree"):
+        environment.require_clean_tree()
+    # allow_dirty overrides the refusal; an unknown state is allowed.
+    environment.require_clean_tree(allow_dirty=True)
+    monkeypatch.setattr(environment, "working_tree_dirty", lambda cwd=None: None)
+    environment.require_clean_tree()

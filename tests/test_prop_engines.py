@@ -1,13 +1,14 @@
-"""Property-based three-way coverage-engine equivalence.
+"""Property-based coverage-engine equivalence.
 
-``CoverageState`` (sets), ``BitsetCoverage`` (mask dicts) and
-``FlatCoverage`` (compiled flat arrays) implement the same incremental
-ĉ/ν state with completely different storage. On any random pool and
-seed sequence all three must agree — on every marginal, every running
-count, and after resyncing past pool growth. The strategies here
+``BitsetCoverage`` (packed member masks) is the one engine the solvers
+run; ``CoverageState`` (per-sample member sets) is its readable
+reference. Both implement the same incremental ĉ/ν state with
+different storage, so on any random pool and seed sequence they must
+agree — on every marginal, every running count, the pool's own one-shot
+objectives, and after resyncing past pool growth. The strategies here
 deliberately generate degenerate shapes (empty reaches, duplicate reach
-sets, saturated samples) because the flat engine's compile step is the
-kind of code where off-by-one slot boundaries hide.
+sets, saturated samples) because mask packing is the kind of code where
+off-by-one member indices hide.
 """
 
 import pytest
@@ -16,8 +17,7 @@ from hypothesis import strategies as st
 
 from repro.communities.structure import Community, CommunityStructure
 from repro.core.bitset_engine import BitsetCoverage
-from repro.core.flat_engine import FlatCoverage
-from repro.core.objective import CoverageState, evaluate_benefit
+from repro.core.objective import CoverageState
 from repro.graph.digraph import DiGraph
 from repro.sampling.pool import RICSamplePool
 from repro.sampling.ric import RICSample, RICSampler
@@ -80,39 +80,39 @@ def pool_seeds_growth(draw):
     return pool, seeds, growth, late_seeds
 
 
+def _assert_same_state(bitset, reference):
+    assert bitset.seeds == reference.seeds
+    assert bitset.influenced_count == reference.influenced_count
+    assert bitset.fractional_count == pytest.approx(reference.fractional_count)
+    assert bitset.estimate_benefit() == reference.estimate_benefit()
+    assert bitset.estimate_upper_bound() == pytest.approx(
+        reference.estimate_upper_bound()
+    )
+
+
 @given(pool_seeds_growth())
 @settings(max_examples=150, deadline=None)
-def test_three_engines_agree_on_state_and_marginals(args):
+def test_bitset_agrees_with_reference_on_state_and_marginals(args):
     pool, seeds, _, _ = args
     reference = CoverageState(pool)
     bitset = BitsetCoverage(pool)
-    flat = FlatCoverage(pool)
     for v in seeds:
         # Marginal of v must agree *before* it becomes a seed...
         expected = reference.gain_pair(v)
         assert bitset.gain_pair(v) == expected
-        assert flat.gain_pair(v) == expected
+        assert bitset.gain_influenced(v) == reference.gain_influenced(v)
+        assert bitset.gain_fractional(v) == reference.gain_fractional(v)
         reference.add_seed(v)
         bitset.add_seed(v)
-        flat.add_seed(v)
         # ... and the running state after.
-        assert flat.influenced_count == reference.influenced_count
-        assert bitset.influenced_count == reference.influenced_count
-        assert flat.fractional_count == pytest.approx(
-            reference.fractional_count
-        )
+        _assert_same_state(bitset, reference)
     for v in range(NUM_NODES):
-        expected = reference.gain_pair(v)
-        assert bitset.gain_pair(v) == expected
-        assert flat.gain_pair(v) == expected
-    assert flat.estimate_benefit() == pytest.approx(
-        reference.estimate_benefit()
-    )
-    assert flat.estimate_upper_bound() == pytest.approx(
-        reference.estimate_upper_bound()
-    )
-    assert evaluate_benefit(pool, seeds, "flat") == pytest.approx(
-        evaluate_benefit(pool, seeds, "reference")
+        assert bitset.gain_pair(v) == reference.gain_pair(v)
+    # The pool's one-shot objectives (what MAF, BT and the shard server
+    # report) agree with the incremental engines.
+    assert pool.estimate_benefit(seeds) == bitset.estimate_benefit()
+    assert pool.estimate_upper_bound(seeds) == pytest.approx(
+        bitset.estimate_upper_bound()
     )
 
 
@@ -122,33 +122,26 @@ def test_engines_agree_after_resync_growth(args):
     pool, seeds, growth, late_seeds = args
     reference = CoverageState(pool)
     bitset = BitsetCoverage(pool)
-    flat = FlatCoverage(pool)
     for v in seeds:
         reference.add_seed(v)
         bitset.add_seed(v)
-        flat.add_seed(v)
     pool.add_many(growth)
     reference.resync()
     bitset.resync()
-    flat.resync()
+    _assert_same_state(bitset, reference)
     for v in late_seeds:
-        if v in flat.seeds:
+        if v in bitset.seeds:
             continue
-        expected = reference.gain_pair(v)
-        assert bitset.gain_pair(v) == expected
-        assert flat.gain_pair(v) == expected
+        assert bitset.gain_pair(v) == reference.gain_pair(v)
         reference.add_seed(v)
         bitset.add_seed(v)
-        flat.add_seed(v)
-    assert flat.influenced_count == reference.influenced_count
-    assert bitset.influenced_count == reference.influenced_count
-    assert flat.estimate_benefit() == pytest.approx(
-        reference.estimate_benefit()
-    )
-    # A fresh compile of the final pool+seeds agrees with the resynced
+    _assert_same_state(bitset, reference)
+    # A fresh build over the final pool+seeds agrees with the resynced
     # engine — resync is not a distinct state machine.
-    fresh = FlatCoverage(pool)
-    for v in flat.seeds:
+    fresh = BitsetCoverage(pool)
+    for v in bitset.seeds:
         fresh.add_seed(v)
-    assert fresh.influenced_count == flat.influenced_count
-    assert fresh.fractional_count == pytest.approx(flat.fractional_count)
+    assert fresh.influenced_count == bitset.influenced_count
+    assert fresh.fractional_count == pytest.approx(bitset.fractional_count)
+    for v in range(NUM_NODES):
+        assert fresh.gain_pair(v) == bitset.gain_pair(v)

@@ -177,3 +177,73 @@ def test_pool_stats_manual():
     assert stats["mean_members"] == pytest.approx(5 / 3)
     assert stats["touching_nodes"] == 5.0
     assert stats["top_source_share"] == pytest.approx(2 / 3)
+
+
+# ----------------------------------------------------------------------
+# Compaction: reach-set interning and index sealing
+# ----------------------------------------------------------------------
+
+
+def _duplicate_pool():
+    communities = CommunityStructure(
+        [Community(members=(0, 1), threshold=2, benefit=3.0)]
+    )
+    pool = RICSamplePool(
+        RICSampler(from_edge_list(6, []), communities, seed=0)
+    )
+    for _ in range(2):
+        pool.add(
+            RICSample(0, 2, (0, 1), (frozenset({0, 4}), frozenset({1, 4})))
+        )
+    return pool
+
+
+def test_compact_interns_duplicate_reach_sets():
+    pool = _duplicate_pool()
+    first, second = pool.samples
+    assert first.reach_sets[0] is not second.reach_sets[0]
+    stats = pool.compact()
+    assert stats["reach_sets"] == 4
+    assert stats["unique_reach_sets"] == 2
+    assert stats["interned_duplicates"] == 2
+    first, second = pool.samples
+    assert first.reach_sets[0] is second.reach_sets[0]
+    assert first.reach_sets[1] is second.reach_sets[1]
+    # Idempotent: a second pass finds nothing left to intern.
+    again = pool.compact()
+    assert again["interned_duplicates"] == 0
+
+
+def test_compact_seals_coverage_then_add_thaws():
+    pool = _duplicate_pool()
+    pool.compact()
+    assert isinstance(pool.coverage_of(0), tuple)
+    snapshot = pool.influenced_count([0, 1])
+    pool.add(RICSample(0, 2, (0, 1), (frozenset({0}), frozenset({1}))))
+    assert pool.influenced_count([0, 1]) == snapshot + 1
+    # The thawed entry is a list again and indexes the new sample.
+    assert pool.coverage_of(0)[-1] == (2, 0)
+
+
+def test_compact_preserves_objectives_and_selection():
+    from repro.core.ubg import UBG
+    from repro.graph.generators import planted_partition_graph
+    from repro.graph.weights import assign_weighted_cascade
+
+    graph, blocks = planted_partition_graph(
+        [8] * 4, p_in=0.4, p_out=0.03, directed=True, seed=13
+    )
+    assign_weighted_cascade(graph)
+    communities = CommunityStructure(
+        [
+            Community(members=tuple(b), threshold=2, benefit=float(len(b)))
+            for b in blocks
+        ]
+    )
+    pool = RICSamplePool(RICSampler(graph, communities, seed=3))
+    pool.grow(150)
+    seeds_before = UBG().solve(pool, 4).seeds
+    benefit_before = pool.estimate_benefit(seeds_before)
+    pool.compact()
+    assert UBG().solve(pool, 4).seeds == seeds_before
+    assert pool.estimate_benefit(seeds_before) == benefit_before

@@ -204,7 +204,6 @@ class TestWarmShard:
         shard.close()
 
     def test_solve_matches_offline_pipeline(self):
-        from repro.core.objective import evaluate_benefit
         from repro.core.ubg import UBG
         from repro.sampling.parallel import ParallelRICSampler
         from repro.sampling.pool import RICSamplePool
@@ -222,11 +221,9 @@ class TestWarmShard:
             )
         )
         pool.grow(spec.pool_size)
-        selection = UBG(engine="flat").solve(pool, 5)
+        selection = UBG().solve(pool, 5)
         assert served["seeds"] == sorted(selection.seeds)
-        assert served["objective"] == evaluate_benefit(
-            pool, selection.seeds, engine="flat"
-        )
+        assert served["objective"] == pool.estimate_benefit(selection.seeds)
         assert served["num_samples"] == spec.pool_size
 
     def test_bad_requests_rejected(self):
